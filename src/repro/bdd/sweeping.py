@@ -22,9 +22,9 @@ from repro.aig.miter import build_miter, miter_is_trivially_unsat
 from repro.aig.network import Aig
 from repro.aig.transform import cleanup
 from repro.bdd.manager import ZERO, BddLimitExceeded, BddManager
-from repro.sat.sweeping import _po_disproof
 from repro.sweep.classes import SimulationState
-from repro.sweep.engine import CecResult, CecStatus
+from repro.sweep.disproof import po_disproof
+from repro.sweep.engine import CecResult, CecStatus, structural_verdict
 from repro.sweep.reduction import reduce_miter
 from repro.sweep.report import EngineReport, PhaseRecord, PhaseTimer
 
@@ -92,12 +92,9 @@ class BddSweepChecker:
         record: PhaseRecord,
         deadline: Optional[float],
     ) -> CecResult:
-        if miter_is_trivially_unsat(miter):
-            return CecResult(CecStatus.EQUIVALENT)
-        if any(po == 1 for po in miter.pos):
-            return CecResult(
-                CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis
-            )
+        verdict = structural_verdict(miter)
+        if verdict is not None:
+            return verdict
         state = SimulationState(
             miter.num_pis, self.num_random_words, self.seed
         )
@@ -105,7 +102,7 @@ class BddSweepChecker:
             if _expired(deadline):
                 return CecResult(CecStatus.UNDECIDED, reduced_miter=miter)
             tables = state.tables(miter)
-            disproof = _po_disproof(miter, state, tables)
+            disproof = po_disproof(miter, state, tables)
             if disproof is not None:
                 return disproof
             classes = state.classes(miter, tables)

@@ -412,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sched", default="auto", choices=["auto", "fixed"],
         help="combined-engine residue scheduling: 'auto' dispatches each "
         "candidate pair to the predicted-cheapest engine lane "
-        "(sim/cuts/BDD/batched SAT); 'fixed' is the kill switch for the "
-        "original P-G-L-SAT pipeline",
+        "(sim/cuts/BDD/batched SAT); 'fixed' routes by the paper's "
+        "P-G-L order, then SAT sweeping",
     )
     cec.add_argument(
         "--cube-threshold", type=float, default=None, metavar="SECONDS",

@@ -63,8 +63,9 @@ class CombinedChecker:
         ``"auto"`` (default) runs the P phase, then hands the residue to
         the adaptive per-pair scheduler (cost-model dispatch over
         sim/cut/BDD/batched-SAT lanes, see ``repro.sched``).  ``"fixed"``
-        is the kill switch: the original P→G→L→SAT pipeline, byte for
-        byte.
+        runs the engine's full flow — P, then the dispatcher's
+        paper-order policy (G over the sim lane, L over one cut lane per
+        Table I pass) — and SAT sweeping on whatever is left.
     cost_model:
         Optional externally-owned :class:`~repro.sched.CostModel` for
         the auto path (the serve pool keeps one warm per tenant).
@@ -160,8 +161,8 @@ class CombinedChecker:
         with tracer.span("combined.engine", category="engine"):
             # Under adaptive scheduling the front end stops after the
             # one-shot P phase: everything P cannot settle outright goes
-            # to the per-pair dispatcher instead of the fixed G→L→SAT
-            # tail.  "fixed" runs the full original pipeline.
+            # to the adaptive dispatcher.  "fixed" runs the paper's
+            # G→L order first and hands the residue to SAT sweeping.
             engine_result = self.engine.check_miter(
                 miter, stop_after="P" if self.sched == "auto" else None
             )

@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.aig.literals import CONST0, lit
 from repro.aig.miter import build_miter, miter_is_trivially_unsat
 from repro.aig.network import Aig
@@ -34,7 +32,8 @@ from repro.obs import get_tracer
 from repro.sat.cnf import CnfBuilder
 from repro.sat.solver import SatSolver, SolveStatus
 from repro.sweep.classes import SimulationState
-from repro.sweep.engine import CecResult, CecStatus
+from repro.sweep.disproof import po_disproof
+from repro.sweep.engine import CecResult, CecStatus, structural_verdict
 from repro.sweep.report import EngineReport, PhaseRecord, PhaseTimer
 from repro.sweep.state import SweepState
 
@@ -194,10 +193,9 @@ class SatSweepChecker:
         deadline: Optional[float],
     ) -> CecResult:
         miter = sweep.network()
-        if miter_is_trivially_unsat(miter):
-            return CecResult(CecStatus.EQUIVALENT)
-        if any(po == 1 for po in miter.pos):
-            return CecResult(CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis)
+        verdict = structural_verdict(miter)
+        if verdict is not None:
+            return verdict
 
         for _ in range(self.max_rounds):
             miter = sweep.network()
@@ -206,7 +204,7 @@ class SatSweepChecker:
                     CecStatus.UNDECIDED, reduced_miter=miter, sim_state=sweep
                 )
             tables = sweep.tables()
-            disproof = _po_disproof(miter, sweep, tables)
+            disproof = po_disproof(miter, sweep, tables)
             if disproof is not None:
                 return disproof
             classes = sweep.classes(tables=tables)
@@ -421,15 +419,3 @@ class SatSweepChecker:
 
 def _expired(deadline: Optional[float]) -> bool:
     return deadline is not None and time.perf_counter() > deadline
-
-
-def _po_disproof(
-    miter: Aig, state: SimulationState, tables
-) -> Optional[CecResult]:
-    """Random-pattern disproof of the miter (shared with the sim engine)."""
-    from repro.sweep.disproof import find_po_disproof
-
-    pattern = find_po_disproof(miter, state.pi_words, tables)
-    if pattern is None:
-        return None
-    return CecResult(CecStatus.NONEQUIVALENT, cex=pattern)

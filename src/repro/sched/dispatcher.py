@@ -1,25 +1,35 @@
-"""The adaptive per-pair scheduler (``--sched auto``).
+"""Per-pair dispatch over the scheduler's lanes: two routing policies.
 
-Replaces the fixed pair pipeline of the residual-SAT stage with
-feature-based dispatch: every candidate pair of every refinement round
-is scored against four lanes — exhaustive-simulation window, cut-based
-local check, size-limited BDD, batched incremental SAT — and routed to
-the predicted-cheapest one.  Lane latencies feed back into the
-:class:`~repro.sched.cost.CostModel` (ε-greedy, misprediction
-penalties), so the routing adapts to the workload within a run, and —
-in the serve daemon — across the jobs of one tenant.
+Both policies run the same refinement round — equivalence classes →
+candidate pairs, the knowledge-cache short-circuit, lane calls, then
+counter-example refinement and merging — and differ only in where each
+pair goes:
 
-Correctness does not depend on the model: lanes only ever *prove* or
-*refute* with sound certificates (full-support windows, canonical BDDs,
-exact SAT), anything a lane cannot settle reroutes to the batched SAT
-backstop, and the final PO proof always runs at the full conflict
-limit.  A bad cost model costs time, never the verdict.
+- :class:`AdaptiveSweeper` (``--sched auto``) scores every candidate
+  pair against five lanes — exhaustive-simulation window, cut-based
+  local check, size-limited BDD, cofactor cubes, batched incremental
+  SAT — and routes it to the predicted-cheapest one.  Lane latencies
+  feed back into the :class:`~repro.sched.cost.CostModel` (ε-greedy,
+  misprediction penalties), so the routing adapts to the workload within
+  a run, and — in the serve daemon — across the jobs of one tenant.
+- :func:`sweep_paper_order` is the paper's Fig. 5 tail as a fixed-order
+  policy: G rounds send every pair within ``k_g`` to the sim lane, L
+  rounds run one cut lane per Table I pass, and what survives is the
+  UNDECIDED residue for an external SAT back end.
+
+Correctness does not depend on the routing: lanes only ever *prove* or
+*refute* with sound certificates (full-support windows, cut-local
+equality, canonical BDDs, exact SAT).  In the adaptive flow anything a
+lane cannot settle reroutes to the batched SAT backstop, and the final
+PO proof always runs at the full conflict limit.  A bad cost model costs
+time, never the verdict.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.aig.literals import lit
 from repro.aig.miter import build_miter, miter_is_trivially_unsat
@@ -28,26 +38,154 @@ from repro.aig.transform import cleanup
 from repro.cache.knowledge import SweepCache
 from repro.cubes.lane import CubeLane, prove_pos_with_cubes
 from repro.obs import get_tracer
-from repro.sat.sweeping import _po_disproof
 from repro.sched.cost import LANES, CostModel
 from repro.sched.features import FeatureExtractor
 from repro.sched.lanes import (
     BddLane,
     CutLane,
-    LaneOutcome,
     RoundContext,
     RoutedPair,
     SatBatchLane,
     SimLane,
     _expired,
-    prove_pos_batched,
 )
 from repro.simulation.exhaustive import ExhaustiveSimulator
-from repro.sweep.classes import SimulationState
+from repro.sweep.classes import EquivalenceClasses, SimulationState
 from repro.sweep.config import EngineConfig
-from repro.sweep.engine import CecResult, CecStatus
+from repro.sweep.disproof import po_disproof
+from repro.sweep.engine import CecResult, CecStatus, structural_verdict
 from repro.sweep.report import EngineReport, PhaseRecord, PhaseTimer
 from repro.sweep.state import SweepState
+
+
+def _register_counters(metrics) -> None:
+    """Pre-register the per-lane counters so a traced run exports every
+    lane (and the misprediction count) even when zero.
+
+    ``sched.dispatch.<lane>`` counts the pairs a policy routed to a
+    lane; ``sched.lane.<lane>.settled`` counts the pairs a lane settled
+    (routed minus unresolved, reroutes and the SAT drain included).
+    """
+    for lane in LANES:
+        metrics.counter_add(f"sched.dispatch.{lane}", 0)
+        metrics.counter_add(f"sched.lane.{lane}.settled", 0)
+    metrics.counter_add("sched.mispredict", 0)
+
+
+class _Round:
+    """One check → refine → reduce cycle over the live sweep state.
+
+    Collects what the knowledge cache and the lanes settle, then
+    :meth:`close` refines the classes with the counter-examples and
+    merges the proved pairs.
+    """
+
+    def __init__(
+        self,
+        state: SweepState,
+        cache: Optional[SweepCache],
+        simulator: ExhaustiveSimulator,
+        classes: EquivalenceClasses,
+        cap: int,
+        deadline: Optional[float] = None,
+    ) -> None:
+        self.state = state
+        self.classes = classes
+        self.extractor = FeatureExtractor(state, cap=cap)
+        self.class_sizes = self.extractor.class_sizes(classes)
+        self.bound = state.bound_cache(cache)
+        self.ctx = RoundContext(
+            state=state,
+            miter=state.network(),
+            simulator=simulator,
+            bound=self.bound,
+            deadline=deadline,
+        )
+        self.merges: Dict[int, Tuple[int, int]] = {}
+        self.cex_patterns: List[List[int]] = []
+
+    @classmethod
+    def open(
+        cls,
+        state: SweepState,
+        cache: Optional[SweepCache],
+        simulator: ExhaustiveSimulator,
+        cap: int,
+        deadline: Optional[float] = None,
+    ) -> Union[CecResult, "_Round", None]:
+        """The next round: a pool disproof of the miter ends the check,
+        ``None`` means no candidate pair is left."""
+        tables = state.tables()
+        disproof = po_disproof(state.network(), state, tables)
+        if disproof is not None:
+            return disproof
+        classes = state.classes(tables=tables)
+        if not classes:
+            return None
+        return cls(state, cache, simulator, classes, cap, deadline)
+
+    def pair(self, repr_node: int, node: int, phase: int) -> RoutedPair:
+        """A candidate pair with its dispatch features."""
+        features = self.extractor.pair(
+            repr_node, node, self.class_sizes.get(node, 2)
+        )
+        return RoutedPair(repr_node, node, phase, features)
+
+    def cached(self, repr_node: int, node: int, phase: int) -> bool:
+        """Settle a pair from a cached verdict; True when it did.
+
+        A cached verdict is the cheapest lane of all, so it
+        short-circuits before any pair is scored or routed.
+        """
+        if self.bound is None:
+            return False
+        known = self.bound.lookup_pair(lit(repr_node), lit(node, phase))
+        if known is None:
+            return False
+        if known.is_equivalent:
+            self.merges[node] = (repr_node, phase)
+        else:  # inconclusive records are not looked up
+            self.cex_patterns.append(known.cex)
+        return True
+
+    def run_lane(
+        self,
+        lane,
+        pairs: List[RoutedPair],
+        model: CostModel,
+        ctx: Optional[RoundContext] = None,
+        span: Optional[str] = None,
+    ) -> List[RoutedPair]:
+        """Run one lane over ``pairs``; returns the unresolved ones."""
+        if not pairs:
+            return []
+        tracer = get_tracer()
+        with tracer.span(
+            span or f"sched.lane.{lane.name}",
+            category="sched",
+            pairs=len(pairs),
+        ):
+            outcome = lane.run(ctx or self.ctx, pairs, model)
+        tracer.metrics.counter_add(
+            f"sched.lane.{lane.name}.settled",
+            len(pairs) - len(outcome.unresolved),
+        )
+        self.merges.update(outcome.merges)
+        self.cex_patterns.extend(outcome.cex_patterns)
+        return outcome.unresolved
+
+    def close(self, record: PhaseRecord, distance1: bool) -> bool:
+        """Account, refine and reduce; True when the round changed
+        anything."""
+        record.proved += len(self.merges)
+        record.cex += len(self.cex_patterns)
+        if self.cex_patterns:
+            self.state.add_cex_patterns(
+                self.cex_patterns, distance1=distance1
+            )
+        if self.merges:
+            self.state.apply_merges(self.merges)
+        return bool(self.merges or self.cex_patterns)
 
 
 class AdaptiveSweeper:
@@ -148,11 +286,7 @@ class AdaptiveSweeper:
         )
         tracer = get_tracer()
         metrics = tracer.metrics
-        # Pre-register the dispatch counters so a traced run exports
-        # every lane (and the misprediction count) even when zero.
-        for lane in LANES:
-            metrics.counter_add(f"sched.dispatch.{lane}", 0)
-        metrics.counter_add("sched.mispredict", 0)
+        _register_counters(metrics)
         metrics.counter_add("sat.batch.pairs", 0)
         metrics.counter_add("sat.batch.solves", 0)
 
@@ -211,48 +345,29 @@ class AdaptiveSweeper:
         record: PhaseRecord,
         deadline: Optional[float],
     ) -> CecResult:
-        miter = sweep.network()
-        if miter_is_trivially_unsat(miter):
-            return CecResult(CecStatus.EQUIVALENT)
-        if any(po == 1 for po in miter.pos):
-            return CecResult(CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis)
-
+        verdict = structural_verdict(sweep.network())
+        if verdict is not None:
+            return verdict
         metrics = get_tracer().metrics
         model = self.model
+        distance1 = self.config.distance1_cex
         for _ in range(self.max_rounds):
-            miter = sweep.network()
             if _expired(deadline):
                 return CecResult(
-                    CecStatus.UNDECIDED, reduced_miter=miter, sim_state=sweep
+                    CecStatus.UNDECIDED,
+                    reduced_miter=sweep.network(),
+                    sim_state=sweep,
                 )
-            tables = sweep.tables()
-            disproof = _po_disproof(miter, sweep, tables)
-            if disproof is not None:
-                return disproof
-            classes = sweep.classes(tables=tables)
-            pairs = [
-                (r, n, phase)
-                for r, n, phase in classes.all_pairs()
-                if miter.is_and(n) or miter.is_pi(n)
-            ]
-            if not pairs:
+            rnd = _Round.open(
+                sweep, self.cache, self.simulator,
+                max(self.config.k_g, model.bdd_cap), deadline,
+            )
+            if isinstance(rnd, CecResult):
+                return rnd
+            if rnd is None:
                 break
+            pairs = list(rnd.classes.all_pairs())
             record.candidates += len(pairs)
-            bound = sweep.bound_cache(self.cache)
-            extractor = FeatureExtractor(
-                sweep, cap=max(self.config.k_g, model.bdd_cap)
-            )
-            class_sizes = extractor.class_sizes(classes)
-            merges: Dict[int, Tuple[int, int]] = {}
-            cex_patterns: List[List[int]] = []
-            ctx = RoundContext(
-                state=sweep,
-                miter=miter,
-                simulator=self.simulator,
-                bound=bound,
-                deadline=deadline,
-            )
-            tracer = get_tracer()
             # Route in chunks: lane feedback from early chunks steers
             # the routing of later ones, so a cold model recovers from a
             # bad seed *within* the first round instead of after it.
@@ -265,46 +380,20 @@ class AdaptiveSweeper:
                     lane: [] for lane in LANES
                 }
                 for repr_node, node, phase in chunk:
-                    # Cache-hit fingerprint: a cached verdict is the
-                    # cheapest lane of all — short-circuit before
-                    # scoring anything.
-                    if bound is not None:
-                        known = bound.lookup_pair(
-                            lit(repr_node), lit(node, phase),
-                            want_inconclusive=False,
-                        )
-                        if known is not None:
-                            if known.is_equivalent:
-                                merges[node] = (repr_node, phase)
-                                continue
-                            if known.is_nonequivalent:
-                                cex_patterns.append(known.cex)
-                                continue
-                    features = extractor.pair(
-                        repr_node, node, class_sizes.get(node, 2)
-                    )
-                    lane = model.choose(features)
-                    metrics.counter_add(f"sched.dispatch.{lane}")
-                    routed[lane].append(
-                        RoutedPair(repr_node, node, phase, features)
-                    )
-                for lane_name in ("sim", "cut", "bdd", "cube"):
-                    lane_pairs = routed[lane_name]
-                    if not lane_pairs:
+                    if rnd.cached(repr_node, node, phase):
                         continue
-                    with tracer.span(
-                        f"sched.lane.{lane_name}",
-                        category="sched",
-                        pairs=len(lane_pairs),
-                    ):
-                        outcome = self.lanes[lane_name].run(
-                            ctx, lane_pairs, model
-                        )
-                    merges.update(outcome.merges)
-                    cex_patterns.extend(outcome.cex_patterns)
+                    rp = rnd.pair(repr_node, node, phase)
+                    lane = model.choose(rp.features)
+                    metrics.counter_add(f"sched.dispatch.{lane}")
+                    routed[lane].append(rp)
+                for lane_name in ("sim", "cut", "bdd", "cube"):
                     # Everything a lane could not settle falls through
                     # to the batched SAT backstop of the same round.
-                    sat_pending.extend(outcome.unresolved)
+                    sat_pending.extend(
+                        rnd.run_lane(
+                            self.lanes[lane_name], routed[lane_name], model
+                        )
+                    )
                 sat_pending.extend(routed["sat"])
             sat_unresolved: List[RoutedPair] = []
             if sat_pending:
@@ -316,46 +405,21 @@ class AdaptiveSweeper:
                 slice_deadline = time.perf_counter() + self.sat_round_seconds
                 if deadline is not None:
                     slice_deadline = min(slice_deadline, deadline)
-                sat_ctx = RoundContext(
-                    state=sweep,
-                    miter=miter,
-                    simulator=self.simulator,
-                    bound=bound,
-                    deadline=slice_deadline,
+                sat_unresolved = rnd.run_lane(
+                    self.lanes["sat"], sat_pending, model,
+                    ctx=replace(rnd.ctx, deadline=slice_deadline),
                 )
-                with tracer.span(
-                    "sched.lane.sat", category="sched",
-                    pairs=len(sat_pending),
-                ):
-                    outcome = self.lanes["sat"].run(
-                        sat_ctx, sat_pending, model
-                    )
-                merges.update(outcome.merges)
-                cex_patterns.extend(outcome.cex_patterns)
-                sat_unresolved = outcome.unresolved
-            record.proved += len(merges)
-            record.cex += len(cex_patterns)
             self.rounds += 1
-            if not merges and not cex_patterns and sat_unresolved:
+            if not rnd.merges and not rnd.cex_patterns and sat_unresolved:
                 # Stalled: the cheap lanes are dry and the SAT slice
                 # settled nothing.  Pay the fixed pipeline's price once
                 # — a full-budget batched sweep over the survivors —
                 # under the overall deadline only.
-                with tracer.span(
-                    "sched.lane.sat_drain", category="sched",
-                    pairs=len(sat_unresolved),
-                ):
-                    outcome = self._drain_lane.run(
-                        ctx, sat_unresolved, model
-                    )
-                merges.update(outcome.merges)
-                cex_patterns.extend(outcome.cex_patterns)
-                record.proved += len(outcome.merges)
-                record.cex += len(outcome.cex_patterns)
-            if cex_patterns:
-                sweep.add_cex_patterns(cex_patterns)
-            if merges:
-                sweep.apply_merges(merges)
+                rnd.run_lane(
+                    self._drain_lane, sat_unresolved, model,
+                    span="sched.lane.sat_drain",
+                )
+            progressed = rnd.close(record, distance1)
             if miter_is_trivially_unsat(sweep.network()):
                 return CecResult(CecStatus.EQUIVALENT)
             if _expired(deadline):
@@ -364,7 +428,7 @@ class AdaptiveSweeper:
                     reduced_miter=sweep.network(),
                     sim_state=sweep,
                 )
-            if not merges and not cex_patterns:
+            if not progressed:
                 break
 
         # Final PO proof.  With the cube knob on, predicted-hard POs are
@@ -373,3 +437,133 @@ class AdaptiveSweeper:
         return prove_pos_with_cubes(
             sweep, self.cache, self.conflict_limit, deadline, record
         )
+
+
+def sweep_paper_order(
+    state: SweepState,
+    config: EngineConfig,
+    simulator: ExhaustiveSimulator,
+    cache: Optional[SweepCache],
+    run_phase: Callable[..., Union[CecResult, bool]],
+    stop_after: Optional[str] = None,
+) -> CecResult:
+    """The paper's G → L tail (Fig. 5) as a fixed-order lane policy.
+
+    Continues a flow whose P phase has already run on ``state``:
+
+    - **G** — at most ``max_global_iterations`` rounds; every pair whose
+      union support is within ``k_g`` goes to the sim lane, the others
+      are skipped.  ``stop_after="PG"`` ends the flow here (Fig. 7).
+    - **L** — at most ``max_local_phases`` rounds; each runs one cut
+      lane per Table I pass of ``config.passes`` over the AND pairs,
+      later passes seeing only what earlier ones left unproved, and
+      merges once at its end so the next round sees new cuts.
+
+    No BDD, SAT or cube lane runs: whatever survives is returned as the
+    UNDECIDED residue, with its state, for the caller's SAT back end.
+    ``run_phase(kind, body, **span_args)`` is the engine's phase runner: it
+    hands ``body`` a fresh ``"G"``/``"L"``
+    :class:`~repro.sweep.report.PhaseRecord` under the ``phase.<kind>``
+    span and reports the finished record.
+    """
+    tracer = get_tracer()
+    metrics = tracer.metrics
+    _register_counters(metrics)
+    # The lanes report latencies to a cost model; this policy never
+    # consults it.
+    model = CostModel(seed=config.seed, sim_cap=config.k_g)
+    distance1 = config.distance1_cex
+    sim_lane = SimLane(config)
+    cut_lanes = {p: CutLane(config, pass_id=p) for p in config.passes}
+    disabled_passes = set()
+
+    def global_round(record: PhaseRecord, span) -> Union[CecResult, bool]:
+        rnd = _Round.open(state, cache, simulator, config.k_g)
+        if not isinstance(rnd, _Round):
+            return rnd or False  # a disproof, or no class left
+        span.set("classes", len(rnd.classes))
+        routed: List[RoutedPair] = []
+        for repr_node, node, phase in rnd.classes.all_pairs():
+            if rnd.cached(repr_node, node, phase):
+                # Cached knowledge is not bounded by k_g: a pair a cold
+                # run proved later (or by SAT) resolves here warm.
+                record.candidates += 1
+                continue
+            rp = rnd.pair(repr_node, node, phase)
+            if 0 <= rp.features.union_size <= config.k_g:
+                record.candidates += 1
+                routed.append(rp)
+        if not routed and not rnd.merges and not rnd.cex_patterns:
+            return False
+        metrics.counter_add("sched.dispatch.sim", len(routed))
+        rnd.run_lane(sim_lane, routed, model)
+        span.set("proved", len(rnd.merges))
+        span.set("cex", len(rnd.cex_patterns))
+        progressed = rnd.close(record, distance1)
+        return progressed and not miter_is_trivially_unsat(state.network())
+
+    def global_phase(record: PhaseRecord) -> Union[CecResult, bool]:
+        for iteration in range(config.max_global_iterations):
+            with tracer.span(
+                "phase.G.round", category="phase", round=iteration
+            ) as span:
+                outcome = global_round(record, span)
+            if isinstance(outcome, CecResult):
+                return outcome
+            if not outcome:
+                break
+        return True
+
+    def local_phase(record: PhaseRecord) -> Union[CecResult, bool]:
+        rnd = _Round.open(state, cache, simulator, config.k_g)
+        if not isinstance(rnd, _Round):
+            return rnd or False  # a disproof, or no class left
+        miter = state.network()
+        pending: List[RoutedPair] = []
+        for repr_node, node, phase in rnd.classes.all_pairs():
+            if not miter.is_and(node):
+                continue
+            record.candidates += 1
+            if not rnd.cached(repr_node, node, phase):
+                pending.append(rnd.pair(repr_node, node, phase))
+        for pass_id, lane in cut_lanes.items():
+            if pass_id in disabled_passes:
+                continue
+            metrics.counter_add("sched.dispatch.cut", len(pending))
+            unresolved = rnd.run_lane(lane, pending, model)
+            if config.adaptive_passes and len(unresolved) == len(pending):
+                disabled_passes.add(pass_id)
+            pending = unresolved
+        rnd.close(record, distance1)
+        return bool(rnd.merges)
+
+    outcome = run_phase("G", global_phase)
+    if isinstance(outcome, CecResult):
+        return outcome
+    if miter_is_trivially_unsat(state.network()):
+        return CecResult(CecStatus.EQUIVALENT)
+    if stop_after == "PG":
+        return CecResult(
+            CecStatus.UNDECIDED,
+            reduced_miter=state.network(),
+            sim_state=state,
+        )
+    for phase_index in range(config.max_local_phases):
+        outcome = run_phase("L", local_phase, round=phase_index)
+        if isinstance(outcome, CecResult):
+            return outcome
+        if miter_is_trivially_unsat(state.network()):
+            return CecResult(CecStatus.EQUIVALENT)
+        if not outcome:
+            break
+        if config.interleave_rewriting:
+            # §V extension: restructure the reduced miter so the next
+            # local phase enumerates genuinely new cuts.
+            from repro.synth.rewrite import cut_rewrite
+
+            state.replace_network(cut_rewrite(state.network(), k=4))
+    return CecResult(
+        CecStatus.UNDECIDED,
+        reduced_miter=state.network(),
+        sim_state=state,
+    )

@@ -38,6 +38,7 @@ from repro.sat.solver import SatSolver, SolveStatus
 from repro.sched.cost import CostModel
 from repro.sched.features import PairFeatures
 from repro.simulation.exhaustive import ExhaustiveSimulator, PairStatus
+from repro.simulation.merging import merge_windows
 from repro.simulation.window import Pair, Window, build_pair_window
 from repro.sweep.config import EngineConfig
 from repro.sweep.engine import CecResult, CecStatus
@@ -90,7 +91,12 @@ def _expired(deadline: Optional[float]) -> bool:
 class SimLane:
     """Exhaustive simulation over the pair's support union (a real proof:
     the window covers every input the pair depends on, so EQUAL proves
-    and MISMATCH yields a genuine counter-example)."""
+    and MISMATCH yields a genuine counter-example).
+
+    Windows are merged up to ``k_s`` inputs under
+    ``config.window_merging`` — the paper's G-phase window merging, so
+    one batch shares simulation tables across similar pairs.
+    """
 
     name = "sim"
 
@@ -100,13 +106,14 @@ class SimLane:
     def run(
         self, ctx: RoundContext, pairs: List[RoutedPair], model: CostModel
     ) -> LaneOutcome:
+        cfg = self.config
         out = LaneOutcome()
         miter = ctx.miter
         windows: List[Window] = []
-        attempted: List[RoutedPair] = []
+        attempted: Dict[int, RoutedPair] = {}
         for rp in pairs:
             union = rp.features.union_support
-            if union is None or len(union) > self.config.k_g:
+            if union is None or len(union) > cfg.k_g:
                 # Only reachable under forcing: choose() never routes a
                 # capped-support pair here on its own.
                 model.mispredict(self.name)
@@ -117,22 +124,20 @@ class SimLane:
                     miter, sorted(union), rp.lit_r, rp.lit_n, rp.node
                 )
             )
-            attempted.append(rp)
+            attempted[rp.node] = rp
         if not attempted:
             return out
+        if cfg.window_merging:
+            windows = merge_windows(miter, windows, cfg.k_s_for(cfg.k_g))
         start = time.perf_counter()
         outcomes = ctx.simulator.run(
             miter, windows, collect_cex=True, skip_oversized=True
         )
         per_pair = (time.perf_counter() - start) / len(attempted)
-        by_tag = {o.pair.tag: o for o in outcomes}
-        for rp in attempted:
-            outcome = by_tag.get(rp.node)
-            if outcome is None:
-                # Window skipped on the simulator's memory budget.
-                model.record(self.name, rp.features, per_pair, resolved=False)
-                out.unresolved.append(rp)
-                continue
+        # Settle in the simulator's order: counter-examples enter the
+        # pattern pool in that order.
+        for outcome in outcomes:
+            rp = attempted.pop(outcome.pair.tag)
             model.record(self.name, rp.features, per_pair, resolved=True)
             if outcome.status is PairStatus.EQUAL:
                 out.merges[rp.node] = (rp.repr_node, rp.phase)
@@ -147,6 +152,10 @@ class SimLane:
                     ctx.bound.record_nonequivalent(
                         rp.lit_r, rp.lit_n, pattern, context="SCHED"
                     )
+        for rp in attempted.values():
+            # Window skipped on the simulator's memory budget.
+            model.record(self.name, rp.features, per_pair, resolved=False)
+            out.unresolved.append(rp)
         return out
 
 
@@ -163,7 +172,7 @@ class CutLane:
     def __init__(self, config: EngineConfig, pass_id: int = 0) -> None:
         self.config = config
         # pass_id 0 = rotate through the configured Table I passes, one
-        # per invocation, the way the fixed engine's repeated L phases
+        # per invocation, the way the paper order's repeated L rounds
         # diversify the cuts a surviving pair sees.
         self.pass_id = pass_id
         self._calls = 0
@@ -202,8 +211,9 @@ class CutLane:
             if rp.repr_node != 0:
                 pair_roots.add(rp.repr_node)
         needed = set(collect_cone(miter, pair_roots))
+        pass_id = self._next_pass()
         selector = CutSelector.for_network(
-            miter, self._next_pass(), cfg.similarity_selection
+            miter, pass_id, cfg.similarity_selection
         )
         enumerator = CutEnumerator(miter, cfg.k_l, cfg.C, selector)
         merges: Dict[int, Tuple[int, int]] = {}
@@ -234,44 +244,47 @@ class CutLane:
                     )
 
         buffer = CommonCutBuffer(cfg.buffer_capacity, flush)
-        for _level, nodes in enumerator.run(repr_of, only=needed):
-            batch: List[Window] = []
-            for node in nodes:
-                info = pair_info.get(node)
-                if info is None or node in merges:
-                    continue
-                repr_node, phase = info
-                priority_r = (
-                    enumerator.priority_cuts(repr_node)
-                    if repr_node != 0
-                    else []
-                )
-                cuts = common_cuts(
-                    priority_r,
-                    enumerator.priority_cuts(node),
-                    cfg.k_l,
-                    cfg.max_common_cuts_per_pair,
-                )
-                pair = Pair(lit(repr_node), lit(node, phase), tag=node)
-                for cut in cuts:
-                    if bound is not None and bound.local_mismatch_seen(
-                        pair.lit_a, pair.lit_b, cut
-                    ):
+        tracer = get_tracer()
+        with tracer.span(
+            "cuts.pass", category="cuts", pass_id=pass_id
+        ) as pass_span:
+            for _level, nodes in enumerator.run(repr_of, only=needed):
+                batch: List[Window] = []
+                for node in nodes:
+                    info = pair_info.get(node)
+                    if info is None or node in merges:
                         continue
-                    batch.append(
-                        build_pair_window(
-                            miter, cut, pair.lit_a, pair.lit_b, node
-                        )
+                    repr_node, phase = info
+                    priority_r = (
+                        enumerator.priority_cuts(repr_node)
+                        if repr_node != 0
+                        else []
                     )
-            buffer.insert(batch)
-        buffer.drain()
-        get_tracer().metrics.counter_add(
-            "cuts.expansions", enumerator.expansions
-        )
+                    cuts = common_cuts(
+                        priority_r,
+                        enumerator.priority_cuts(node),
+                        cfg.k_l,
+                        cfg.max_common_cuts_per_pair,
+                    )
+                    pair = Pair(lit(repr_node), lit(node, phase), tag=node)
+                    for cut in cuts:
+                        if bound is not None and bound.local_mismatch_seen(
+                            pair.lit_a, pair.lit_b, cut
+                        ):
+                            continue
+                        batch.append(
+                            build_pair_window(
+                                miter, cut, pair.lit_a, pair.lit_b, node
+                            )
+                        )
+                buffer.insert(batch)
+            buffer.drain()
+            pass_span.set("expansions", enumerator.expansions)
+        tracer.metrics.counter_add("cuts.expansions", enumerator.expansions)
         per_pair = (time.perf_counter() - start) / len(attempted)
         # An unproved pair is NOT a routing mistake here: a local
         # mismatch may be an SDC and the next pass rotation may still
-        # prove it (the fixed engine's L phase needs many rounds too).
+        # prove it (the paper order's L phase needs many rounds too).
         # Record latencies neutrally and penalise once per empty batch,
         # or the per-pair penalty caps out in one chunk and the lane —
         # the scheduler's only way to prove wide-support pairs cheaply —

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.aig.literals import CONST0
 from repro.aig.network import Aig
+from repro.sweep.engine import CecResult, CecStatus
 
 
 def find_po_disproof(
@@ -42,3 +43,16 @@ def find_po_disproof(
             for i in range(miter.num_pis)
         ]
     return None
+
+
+def po_disproof(miter: Aig, state, tables: np.ndarray) -> Optional[CecResult]:
+    """NONEQUIVALENT with the pool's witness when some miter PO is hit.
+
+    ``state`` is any pattern pool exposing ``pi_words`` (a
+    :class:`~repro.sweep.state.SweepState` or a plain
+    :class:`~repro.sweep.classes.SimulationState`).
+    """
+    pattern = find_po_disproof(miter, state.pi_words, tables)
+    if pattern is None:
+        return None
+    return CecResult(CecStatus.NONEQUIVALENT, cex=pattern)

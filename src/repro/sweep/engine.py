@@ -14,6 +14,11 @@ The engine proves miters in three kinds of phases:
   mismatches are inconclusive (SDCs).  Each phase reduces the miter once,
   so later phases see new structure and new cuts.
 
+P runs here.  G and L run as the paper-order policy of the scheduler's
+dispatcher (:func:`repro.sched.dispatcher.sweep_paper_order`): G rounds
+over the sim lane, L rounds over one cut lane per Table I pass — the
+same lanes and round code the adaptive scheduler routes pairs through.
+
 If the flow ends with a non-empty miter the result is UNDECIDED and the
 reduced miter is returned for an external checker (the paper hands it to
 ABC ``&cec``; this package hands it to
@@ -26,31 +31,21 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Union
 
-import numpy as np
-
-from repro.aig.literals import CONST0, lit
+from repro.aig.literals import CONST0
 from repro.aig.miter import build_miter, miter_is_trivially_unsat
 from repro.aig.network import Aig
 from repro.aig.transform import cleanup
-from repro.aig.traversal import collect_cone, supports_capped
-from repro.cache.knowledge import BoundCache, SweepCache
-from repro.cuts.common import CommonCutBuffer, common_cuts
-from repro.cuts.enumeration import CutEnumerator
-from repro.cuts.selection import CutSelector
+from repro.aig.traversal import supports_capped
+from repro.cache.knowledge import SweepCache
 from repro.obs import get_tracer
 from repro.simulation.exhaustive import (
     ExhaustiveSimulator,
     PairStatus,
 )
 from repro.simulation.merging import merge_windows
-from repro.simulation.window import (
-    Pair,
-    Window,
-    build_pair_window,
-    build_window,
-)
+from repro.simulation.window import Pair, Window, build_window
 from repro.sweep.classes import SharedPool, SimulationState
 from repro.sweep.config import EngineConfig
 from repro.sweep.state import SweepState
@@ -98,6 +93,16 @@ class CecResult:
     def is_equivalent(self) -> bool:
         """True when the check proved equivalence."""
         return self.status is CecStatus.EQUIVALENT
+
+
+def structural_verdict(miter: Aig) -> Optional[CecResult]:
+    """Verdicts available before any simulation."""
+    if miter_is_trivially_unsat(miter):
+        return CecResult(CecStatus.EQUIVALENT)
+    if any(po == 1 for po in miter.pos):
+        # A constant-true PO is satisfied by every pattern.
+        return CecResult(CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis)
+    return None
 
 
 class SimSweepEngine:
@@ -187,14 +192,30 @@ class SimSweepEngine:
             self.cache.snapshot() if self.cache is not None else None
         )
 
-        def note(record: PhaseRecord) -> None:
+        def phase(kind: str, body, **span_args):
+            """Run ``body(record)`` as one reported flow phase.
+
+            ``body`` fills a fresh :class:`PhaseRecord` under the
+            ``phase.<kind>`` span; a :class:`CecResult` it returns is a
+            verdict, anything else leaves the reduced miter in ``state``.
+            """
+            record = PhaseRecord(kind)
+            with tracer.span(
+                f"phase.{kind}", category="phase", **span_args
+            ) as span, PhaseTimer(record):
+                outcome = body(record)
+                span.set("candidates", record.candidates)
+                span.set("proved", record.proved)
+            if not isinstance(outcome, CecResult):
+                record.miter_ands_after = state.network().num_ands
             report.phases.append(record)
             metrics = tracer.metrics
-            metrics.counter_add(f"engine.{record.kind}.candidates", record.candidates)
-            metrics.counter_add(f"engine.{record.kind}.proved", record.proved)
-            metrics.counter_add(f"engine.{record.kind}.cex", record.cex)
+            metrics.counter_add(f"engine.{kind}.candidates", record.candidates)
+            metrics.counter_add(f"engine.{kind}.proved", record.proved)
+            metrics.counter_add(f"engine.{kind}.cex", record.cex)
             if self.on_phase is not None:
                 self.on_phase(record)
+            return outcome
 
         def finish(result: CecResult) -> CecResult:
             current = state.network()
@@ -218,23 +239,15 @@ class SimSweepEngine:
             result.report = report
             return result
 
-        verdict = self._structural_verdict(state.network())
+        verdict = structural_verdict(state.network())
         if verdict is not None:
             return finish(verdict)
 
-        # ---- P phase -------------------------------------------------
-        record = PhaseRecord("P")
-        with tracer.span("phase.P", category="phase") as span, PhaseTimer(
-            record
-        ):
-            outcome = self._po_phase(state, simulator, record)
-            span.set("candidates", record.candidates)
-            span.set("proved", record.proved)
+        outcome = phase(
+            "P", lambda record: self._po_phase(state, simulator, record)
+        )
         if isinstance(outcome, CecResult):
-            note(record)
             return finish(outcome)
-        record.miter_ands_after = state.network().num_ands
-        note(record)
         if miter_is_trivially_unsat(state.network()):
             return finish(CecResult(CecStatus.EQUIVALENT))
         if stop_after == "P":
@@ -249,78 +262,18 @@ class SimSweepEngine:
                 )
             )
 
-        # ---- G phase -------------------------------------------------
-        record = PhaseRecord("G")
-        with tracer.span("phase.G", category="phase") as span, PhaseTimer(
-            record
-        ):
-            outcome = self._global_phase(state, simulator, record)
-            span.set("candidates", record.candidates)
-            span.set("proved", record.proved)
-        if isinstance(outcome, CecResult):
-            note(record)
-            return finish(outcome)
-        record.miter_ands_after = state.network().num_ands
-        note(record)
-        if miter_is_trivially_unsat(state.network()):
-            return finish(CecResult(CecStatus.EQUIVALENT))
-        if stop_after == "PG":
-            return finish(
-                CecResult(
-                    CecStatus.UNDECIDED,
-                    reduced_miter=state.network(),
-                    sim_state=state,
-                )
-            )
-
-        # ---- repeated L phases ----------------------------------------
-        disabled_passes: Set[int] = set()
-        for phase_index in range(self.config.max_local_phases):
-            record = PhaseRecord("L")
-            with tracer.span(
-                "phase.L", category="phase", round=phase_index
-            ) as span, PhaseTimer(record):
-                outcome, progressed = self._local_phase(
-                    state, simulator, record, disabled_passes
-                )
-                span.set("candidates", record.candidates)
-                span.set("proved", record.proved)
-            if isinstance(outcome, CecResult):
-                note(record)
-                return finish(outcome)
-            record.miter_ands_after = state.network().num_ands
-            note(record)
-            if miter_is_trivially_unsat(state.network()):
-                return finish(CecResult(CecStatus.EQUIVALENT))
-            if not progressed:
-                break
-            if self.config.interleave_rewriting:
-                # §V extension: restructure the reduced miter so the next
-                # local phase enumerates genuinely new cuts.
-                from repro.synth.rewrite import cut_rewrite
-
-                state.replace_network(cut_rewrite(state.network(), k=4))
+        # G and L: the paper's order over the scheduler's lanes.
+        from repro.sched.dispatcher import sweep_paper_order
 
         return finish(
-            CecResult(
-                CecStatus.UNDECIDED,
-                reduced_miter=state.network(),
-                sim_state=state,
+            sweep_paper_order(
+                state, self.config, simulator, self.cache, phase, stop_after
             )
         )
 
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-
-    def _structural_verdict(self, miter: Aig) -> Optional[CecResult]:
-        """Verdicts available before any simulation."""
-        if miter_is_trivially_unsat(miter):
-            return CecResult(CecStatus.EQUIVALENT)
-        if any(po == 1 for po in miter.pos):
-            # A constant-true PO is satisfied by every pattern.
-            return CecResult(CecStatus.NONEQUIVALENT, cex=[0] * miter.num_pis)
-        return None
 
     def _po_phase(
         self,
@@ -389,322 +342,3 @@ class SimSweepEngine:
                     )
                 new_pos[outcome.pair.tag] = CONST0
         return state.set_pos(new_pos)
-
-    def _global_phase(
-        self,
-        state: SweepState,
-        simulator: ExhaustiveSimulator,
-        record: PhaseRecord,
-    ) -> Optional[CecResult]:
-        cfg = self.config
-        tracer = get_tracer()
-        for iteration in range(cfg.max_global_iterations):
-            with tracer.span(
-                "phase.G.round", category="phase", round=iteration
-            ) as span:
-                verdict, progressed = self._global_round(
-                    state, simulator, record, span
-                )
-            if verdict is not None:
-                return verdict
-            if not progressed:
-                break
-        return None
-
-    def _global_round(
-        self,
-        state: SweepState,
-        simulator: ExhaustiveSimulator,
-        record: PhaseRecord,
-        span,
-    ) -> Tuple[Optional[CecResult], bool]:
-        """One check → refine → reduce cycle of the global phase.
-
-        Returns ``(verdict, progressed)``: a conclusive verdict ends the
-        phase, ``progressed=False`` means the round changed nothing and
-        the iteration should stop.  Merges are applied to ``state`` in
-        place (carrying signatures and classes across the rebuild).
-        """
-        cfg = self.config
-        miter = state.network()
-        tables = state.tables()
-        disproof = self._po_disproof(miter, state, tables)
-        if disproof is not None:
-            return disproof, False
-        classes = state.classes(tables=tables)
-        if len(classes) == 0:
-            return None, False
-        span.set("classes", len(classes))
-        bound = state.bound_cache(self.cache)
-        support_sets = supports_capped(miter, cfg.k_g)
-        windows: List[Window] = []
-        merges: Dict[int, Tuple[int, int]] = {}
-        cex_patterns: List[List[int]] = []
-        for repr_node, node, phase in classes.all_pairs():
-            if bound is not None:
-                # Cached knowledge is not bounded by k_g: a pair the
-                # cold run proved in a later phase (or by SAT)
-                # resolves here on the warm run.
-                known = bound.lookup_pair(
-                    lit(repr_node), lit(node, phase)
-                )
-                if known is not None:
-                    record.candidates += 1
-                    if known.is_equivalent:
-                        merges[node] = (repr_node, phase)
-                    else:
-                        cex_patterns.append(known.cex)
-                    continue
-            supp_r = support_sets[repr_node]
-            supp_n = support_sets[node]
-            if supp_r is None or supp_n is None:
-                continue
-            union = supp_r | supp_n
-            if len(union) > cfg.k_g:
-                continue
-            record.candidates += 1
-            windows.append(
-                build_pair_window(
-                    miter,
-                    sorted(union),
-                    lit(repr_node),
-                    lit(node, phase),
-                    node,
-                )
-            )
-        if not windows and not merges and not cex_patterns:
-            return None, False
-        if windows:
-            if cfg.window_merging:
-                windows = merge_windows(
-                    miter, windows, cfg.k_s_for(cfg.k_g)
-                )
-            outcomes = simulator.run(
-                miter, windows, collect_cex=True, skip_oversized=True
-            )
-        else:
-            outcomes = []
-        for outcome in outcomes:
-            node = outcome.pair.tag
-            if outcome.status is PairStatus.EQUAL:
-                target = outcome.pair.lit_a
-                phase = (outcome.pair.lit_a ^ outcome.pair.lit_b) & 1
-                merges[node] = (target >> 1, phase)
-                if bound is not None:
-                    bound.record_equivalent(
-                        outcome.pair.lit_a, outcome.pair.lit_b,
-                        context="G",
-                    )
-            else:
-                pattern = outcome.cex.to_pi_pattern(miter.num_pis)
-                cex_patterns.append(pattern)
-                if bound is not None:
-                    bound.record_nonequivalent(
-                        outcome.pair.lit_a, outcome.pair.lit_b,
-                        pattern, context="G",
-                    )
-        record.proved += len(merges)
-        record.cex += len(cex_patterns)
-        span.set("proved", len(merges))
-        span.set("cex", len(cex_patterns))
-        if cex_patterns:
-            state.add_cex_patterns(
-                cex_patterns, distance1=cfg.distance1_cex
-            )
-        if merges:
-            state.apply_merges(merges)
-        if not merges and not cex_patterns:
-            return None, False
-        if miter_is_trivially_unsat(state.network()):
-            return None, False
-        return None, True
-
-    def _local_phase(
-        self,
-        state: SweepState,
-        simulator: ExhaustiveSimulator,
-        record: PhaseRecord,
-        disabled_passes: Set[int],
-    ) -> Tuple[Optional[CecResult], bool]:
-        cfg = self.config
-        miter = state.network()
-        tables = state.tables()
-        disproof = self._po_disproof(miter, state, tables)
-        if disproof is not None:
-            return disproof, False
-        classes = state.classes(tables=tables)
-        if len(classes) == 0:
-            return None, False
-        bound = state.bound_cache(self.cache)
-        pair_info: Dict[int, Tuple[int, int]] = {}
-        repr_of: Dict[int, int] = {}
-        for eq_class in classes:
-            for member in eq_class.members:
-                repr_of[member] = eq_class.representative
-            for repr_node, node, phase in eq_class.candidate_pairs():
-                if miter.is_and(node):
-                    pair_info[node] = (repr_node, phase)
-        record.candidates += len(pair_info)
-        fanout_counts = miter.fanout_counts()
-        levels = miter.levels()
-        merges: Dict[int, Tuple[int, int]] = {}
-        proved_by_pass: Dict[int, int] = {}
-
-        if bound is not None:
-            # Warm-start pre-pass: settle pairs with cached verdicts
-            # before any cut enumeration or window simulation runs.
-            cached_patterns: List[List[int]] = []
-            for node, (repr_node, phase) in list(pair_info.items()):
-                known = bound.lookup_pair(lit(repr_node), lit(node, phase))
-                if known is None:
-                    continue
-                if known.is_equivalent:
-                    merges[node] = (repr_node, phase)
-                else:
-                    cached_patterns.append(known.cex)
-                    del pair_info[node]
-            if cached_patterns:
-                record.cex += len(cached_patterns)
-                state.add_cex_patterns(
-                    cached_patterns, distance1=cfg.distance1_cex
-                )
-
-        for pass_id in cfg.passes:
-            if pass_id in disabled_passes:
-                continue
-            proved_before = len(merges)
-            self._run_cut_pass(
-                miter,
-                simulator,
-                pass_id,
-                fanout_counts,
-                levels,
-                repr_of,
-                pair_info,
-                merges,
-                bound,
-            )
-            proved_by_pass[pass_id] = len(merges) - proved_before
-
-        record.proved += len(merges)
-        if cfg.adaptive_passes:
-            for pass_id, proved in proved_by_pass.items():
-                if proved == 0:
-                    disabled_passes.add(pass_id)
-        if not merges:
-            return None, False
-        state.apply_merges(merges)
-        return None, True
-
-    def _run_cut_pass(
-        self,
-        miter: Aig,
-        simulator: ExhaustiveSimulator,
-        pass_id: int,
-        fanout_counts: np.ndarray,
-        levels: np.ndarray,
-        repr_of: Dict[int, int],
-        pair_info: Dict[int, Tuple[int, int]],
-        merges: Dict[int, Tuple[int, int]],
-        bound: Optional[BoundCache] = None,
-    ) -> None:
-        cfg = self.config
-        tracer = get_tracer()
-        selector = CutSelector(
-            pass_id, fanout_counts, levels, cfg.similarity_selection
-        )
-        enumerator = CutEnumerator(miter, cfg.k_l, cfg.C, selector)
-        # Only the fanin cones of the surviving pairs (and their
-        # representatives) need cuts; late phases with few candidates
-        # then skip most of the miter.
-        pair_roots = set()
-        for node, (repr_node, _phase) in pair_info.items():
-            if node not in merges:
-                pair_roots.add(node)
-                if repr_node != 0:
-                    pair_roots.add(repr_node)
-        needed = set(collect_cone(miter, pair_roots))
-
-        def flush(windows: List[Window]) -> None:
-            outcomes = simulator.run(
-                miter, windows, collect_cex=False, skip_oversized=True
-            )
-            for outcome in outcomes:
-                node = outcome.pair.tag
-                if outcome.status is PairStatus.EQUAL:
-                    if node not in merges:
-                        phase = (outcome.pair.lit_a ^ outcome.pair.lit_b) & 1
-                        merges[node] = (outcome.pair.lit_a >> 1, phase)
-                    if bound is not None and outcome.window is not None:
-                        bound.record_equivalent(
-                            outcome.pair.lit_a,
-                            outcome.pair.lit_b,
-                            context="L",
-                            cut_size=len(outcome.window.inputs),
-                        )
-                elif bound is not None and outcome.window is not None:
-                    # A local mismatch may be an SDC, so it proves
-                    # nothing about the pair — but re-simulating the
-                    # same pair over the same cut is futile; memoise it.
-                    bound.record_local_mismatch(
-                        outcome.pair.lit_a,
-                        outcome.pair.lit_b,
-                        outcome.window.inputs,
-                    )
-
-        buffer = CommonCutBuffer(cfg.buffer_capacity, flush)
-        with tracer.span(
-            "cuts.pass", category="cuts", pass_id=pass_id
-        ) as pass_span:
-            for _level, nodes in enumerator.run(repr_of, only=needed):
-                batch: List[Window] = []
-                for node in nodes:
-                    info = pair_info.get(node)
-                    if info is None or node in merges:
-                        continue
-                    repr_node, phase = info
-                    if repr_node in merges:
-                        continue
-                    priority_r = (
-                        enumerator.priority_cuts(repr_node)
-                        if repr_node != 0
-                        else []
-                    )
-                    priority_n = enumerator.priority_cuts(node)
-                    cuts = common_cuts(
-                        priority_r,
-                        priority_n,
-                        cfg.k_l,
-                        cfg.max_common_cuts_per_pair,
-                    )
-                    pair = Pair(lit(repr_node), lit(node, phase), tag=node)
-                    for cut in cuts:
-                        if bound is not None and bound.local_mismatch_seen(
-                            pair.lit_a, pair.lit_b, cut
-                        ):
-                            continue
-                        roots = [
-                            x
-                            for x in (repr_node, node)
-                            if x != 0 and x not in cut
-                        ]
-                        batch.append(
-                            build_window(miter, cut, roots=roots, pairs=[pair])
-                        )
-                buffer.insert(batch)
-            buffer.drain()
-            pass_span.set("expansions", enumerator.expansions)
-        tracer.metrics.counter_add("cuts.expansions", enumerator.expansions)
-
-    # ------------------------------------------------------------------
-
-    def _po_disproof(
-        self, miter: Aig, state: SweepState, tables: np.ndarray
-    ) -> Optional[CecResult]:
-        """Check whether the random pool already satisfies some miter PO."""
-        from repro.sweep.disproof import find_po_disproof
-
-        pattern = find_po_disproof(miter, state.pi_words, tables)
-        if pattern is None:
-            return None
-        return CecResult(CecStatus.NONEQUIVALENT, cex=pattern)

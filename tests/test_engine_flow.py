@@ -6,6 +6,8 @@ from repro.aig.builder import AigBuilder
 from repro.aig.miter import build_miter
 from repro.aig.network import negate_outputs
 from repro.bench import generators as gen
+from repro.obs import Tracer, use_tracer
+from repro.sat.solver import SatSolver
 from repro.sweep.config import EngineConfig
 from repro.sweep.engine import CecStatus, SimSweepEngine
 from repro.synth.resyn import compress2
@@ -102,6 +104,44 @@ def test_stop_after_p_and_pg():
         assert full.reduced_miter.num_ands <= after_pg.reduced_miter.num_ands
     assert [p.kind for p in after_p.report.phases] == ["P"]
     assert [p.kind for p in after_pg.report.phases] == ["P", "G"]
+
+
+def test_full_flow_runs_the_paper_order_on_sim_and_cut_lanes(monkeypatch):
+    """P, then G rounds on the sim lane and L rounds on the cut lanes —
+    the paper order never reaches the BDD, SAT or cube lanes."""
+    solves = []
+    solve = SatSolver.solve
+
+    def counting_solve(self, *args, **kwargs):
+        solves.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SatSolver, "solve", counting_solve)
+    original = gen.voter(15)
+    optimized = compress2(original)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = SimSweepEngine(FAST).check(original, optimized)
+    assert result.status is CecStatus.EQUIVALENT
+    phases = result.report.phases
+    kinds = [p.kind for p in phases]
+    assert kinds[:3] == ["P", "G", "L"]
+    assert set(kinds[3:]) <= {"L"}
+    counters = tracer.metrics.counters
+    for lane in ("bdd", "sat", "cube"):
+        assert counters[f"sched.dispatch.{lane}"] == 0
+        assert counters[f"sched.lane.{lane}.settled"] == 0
+    assert solves == []
+    # Without a cache every G settle is the sim lane's, every L proof
+    # is a cut lane's.
+    assert counters["sched.lane.sim.settled"] == sum(
+        p.proved + p.cex for p in phases if p.kind == "G"
+    )
+    assert counters["sched.lane.cut.settled"] == sum(
+        p.proved for p in phases if p.kind == "L"
+    )
+    span_names = {span[0] for span in tracer.spans()}
+    assert {"phase.P", "phase.G", "phase.G.round", "phase.L"} <= span_names
 
 
 def test_stop_after_validation():

@@ -588,6 +588,12 @@ def test_check_trace_require_sched(tmp_path):
         + [counter("sched.mispredict", 2),
            counter("sat.batch.pairs", 9), counter("sat.batch.solves", 2)]
     }
+    # Batched, but the per-lane settled counters are missing: rejected.
+    assert check_trace.validate_trace(batched, require_sched=True) != []
+    batched["traceEvents"] += [
+        counter(f"sched.lane.{lane}.settled", 0)
+        for lane in ("sim", "cut", "bdd", "sat")
+    ]
     assert check_trace.validate_trace(batched, require_sched=True) == []
 
     # A real traced adaptive run validates end to end.

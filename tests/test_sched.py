@@ -294,3 +294,48 @@ def test_cost_model_is_shared_across_checks():
     observed = sum(h.count for h in model.histograms.values())
     if total:
         assert observed > 0
+
+
+@pytest.mark.parametrize("forced", [None, "cut"])
+def test_settled_counters_are_dispatch_minus_fall_through(forced, monkeypatch):
+    """``sched.lane.<lane>.settled`` is routed minus unresolved: for the
+    cheap lanes, their dispatch count minus the pairs that fell through
+    to SAT; the SAT lane settles from everything that reached it."""
+    if forced is not None:
+        monkeypatch.setenv(FORCE_ENV, forced)
+    original = gen.voter(15)
+    sweeper = AdaptiveSweeper(EngineConfig.fast())
+    lanes = dict(sweeper.lanes, sat_drain=sweeper._drain_lane)
+    routed = {name: 0 for name in lanes}
+    unresolved = {name: 0 for name in lanes}
+    for name, lane in lanes.items():
+
+        def run(ctx, pairs, model, _name=name, _run=lane.run):
+            outcome = _run(ctx, pairs, model)
+            routed[_name] += len(pairs)
+            unresolved[_name] += len(outcome.unresolved)
+            return outcome
+
+        lane.run = run
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = sweeper.check(original, compress2(original))
+    assert result.status is CecStatus.EQUIVALENT
+    counters = tracer.metrics.counters
+    fell_through = 0
+    for lane in ("sim", "cut", "bdd", "cube"):
+        dispatched = counters[f"sched.dispatch.{lane}"]
+        assert routed[lane] == dispatched, lane
+        assert counters[f"sched.lane.{lane}.settled"] == (
+            dispatched - unresolved[lane]
+        ), lane
+        fell_through += unresolved[lane]
+    assert routed["sat"] == counters["sched.dispatch.sat"] + fell_through
+    assert counters["sched.lane.sat.settled"] == (
+        routed["sat"] + routed["sat_drain"]
+        - unresolved["sat"] - unresolved["sat_drain"]
+    )
+    if forced == "cut":
+        # Cut-local mismatches (SDCs) leave pairs for the SAT backstop.
+        assert counters["sched.lane.cut.settled"] > 0
+        assert fell_through > 0

@@ -3,8 +3,8 @@
 
 CI runs this against the trace artifact of the traced smoke job::
 
-    python tools/check_trace.py trace.json \
-        --require-phases phase.P phase.G phase.L --require-workers 2
+    python tools/check_trace.py trace_sim.json \
+        --require-phases phase.P phase.G phase.L --require-rebuild
 
 The checker enforces the subset of the Chrome trace format the
 ``repro.obs`` tracer emits (no external jsonschema dependency needed —
@@ -36,7 +36,8 @@ the rules below *are* the schema):
   state.recomputed_words`` in the *merged* counters — workers carried,
   the parent adopted);
 - ``--require-sched``: the run must have gone through the adaptive
-  per-pair scheduler: every ``sched.dispatch.<lane>`` counter is
+  per-pair scheduler: every ``sched.dispatch.<lane>`` and
+  ``sched.lane.<lane>.settled`` counter is
   present (pre-registered at zero, so absence means the dispatcher
   never ran), ``sched.mispredict`` is recorded, and the batched SAT
   lane actually batched — ``sat.batch.pairs > sat.batch.solves`` with
@@ -218,14 +219,16 @@ def validate_trace(
 
     if require_sched:
         for lane in SCHED_LANES:
-            counter = f"sched.dispatch.{lane}"
-            if counter not in counters:
-                errors.append(
-                    f"counter {counter!r} missing: the adaptive scheduler "
-                    "never exported its dispatch counters (counters are "
-                    "pre-registered at zero, so absence means the "
-                    "dispatcher never ran)"
-                )
+            for counter in (
+                f"sched.dispatch.{lane}", f"sched.lane.{lane}.settled"
+            ):
+                if counter not in counters:
+                    errors.append(
+                        f"counter {counter!r} missing: the adaptive "
+                        "scheduler never exported its per-lane counters "
+                        "(counters are pre-registered at zero, so absence "
+                        "means the dispatcher never ran)"
+                    )
         if "sched.mispredict" not in counters:
             errors.append(
                 "counter 'sched.mispredict' missing: the cost model's "
@@ -302,7 +305,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--require-sched", action="store_true",
         help="require adaptive-scheduler counters (all sched.dispatch.* "
-        "lanes present, sched.mispredict recorded, sat.batch.pairs > "
+        "and sched.lane.*.settled lanes present, sched.mispredict recorded, sat.batch.pairs > "
         "sat.batch.solves)",
     )
     parser.add_argument(
